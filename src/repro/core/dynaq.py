@@ -99,14 +99,6 @@ class DynaQBuffer(BufferManager):
             self._drop_no_victim = Decision.dropped(
                 "threshold exceeded, no victim")
             self._drop_unsatisfied = Decision.dropped("victim unsatisfied")
-            # Repeat-pure drops (see the base class): both outcomes
-            # return before any threshold steal, so re-admitting the
-            # same (queue, size) with no intervening accept reproduces
-            # them exactly.  "port buffer full" is deliberately absent —
-            # that path can follow a steal (and, in the evicting
-            # subclass, trigger evictions).
-            self.pure_drop_decisions = (self._drop_unsatisfied,
-                                        self._drop_no_victim)
         else:
             self._drop_no_victim = None
             self._drop_unsatisfied = None
@@ -280,11 +272,6 @@ class DynaQBuffer(BufferManager):
             self.drops += 1
             return self._drop_full or Decision.dropped("port buffer full")
         return self._accept or Decision.accepted()
-
-    def repeat_drop(self, decision: Decision) -> None:
-        self.drops += 1
-        if decision is self._drop_unsatisfied:
-            self.protected_drops += 1
 
     def _victim_is_protected(self, victim: int, size: int) -> bool:
         """Line 3 of Algorithm 1: drop instead of stealing when either

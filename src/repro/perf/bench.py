@@ -98,23 +98,6 @@ class _Sink:
         if self.pool is not None:
             self.pool.release(packet)
 
-    def receive_many(self, packets) -> None:
-        # Opt-in coalesced delivery (see EgressPort._deliver_batch): the
-        # sink only counts, so it is insensitive to intra-batch delivery
-        # timing and takes a whole batch in one call.
-        self.received += len(packets)
-        total = 0
-        pool = self.pool
-        if pool is not None:
-            release = pool.release
-            for packet in packets:
-                total += packet.size
-                release(packet)
-        else:
-            for packet in packets:
-                total += packet.size
-        self.received_bytes += total
-
 
 class _Feeder:
     """Deterministic packet generator driving one port.
@@ -171,23 +154,20 @@ class _Feeder:
             return
         stop = min(index + self.BATCH, self.total)
         self._index = stop
-        port = self.port
+        send = self.port.send
         packets = self.packets
         sent = 0
         if packets is not None:
             # Pre-materialised stream (fig05): the timed region measures
             # port work, not harness allocation, on both config sides.
-            # The whole burst goes through send_many so the harness pays
-            # one port call per tick, not one per arrival.
             chunk = self._chunks[index // self.BATCH]
             sent = len(chunk)
-            if chunk:
-                port.send_many(chunk)
+            for packet in chunk:
+                send(packet)
         else:
             classes = self.classes
             pool = self.pool
             now = self.sim.now
-            chunk = []
             while index < stop:
                 service_class = classes[index]
                 if service_class is not None:
@@ -200,11 +180,9 @@ class _Feeder:
                                         PACKET_BYTES,
                                         service_class=service_class,
                                         created_at=now)
-                    chunk.append(packet)
+                    send(packet)
+                    sent += 1
                 index += 1
-            sent = len(chunk)
-            if chunk:
-                port.send_many(chunk)
         self.sent += sent
 
 

@@ -101,17 +101,6 @@ class BufferManager:
         # must leave this None; managers replacing their threshold list
         # wholesale must re-point this attribute at the new list.
         self.inline_admit_thresholds = None
-        # Companion contract for the drop side: decisions listed here are
-        # *repeat-pure* — ``admit()`` returning one of them read manager
-        # and port state but mutated nothing except drop counters, so an
-        # identical call (same queue, same size) with no intervening
-        # accept is guaranteed the same outcome.  EgressPort.send_many
-        # uses this to memoise drop storms within one burst, re-applying
-        # the counters through :meth:`repeat_drop` instead of re-deriving
-        # the decision.  Only list shared singletons (identity is the
-        # memo key), and never a decision whose path can mutate state
-        # (threshold steals, evictions).
-        self.pure_drop_decisions = ()
         # Fast path: pre-built singletons for the recurring outcomes.
         # None in reference mode, in which case every site allocates a
         # fresh Decision exactly as the pre-optimisation code did.
@@ -153,15 +142,6 @@ class BufferManager:
 
     def on_enqueued(self, packet: Packet, queue_index: int) -> None:
         """Called after a packet was appended to its queue."""
-
-    def repeat_drop(self, decision: Decision) -> None:
-        """Re-apply the counter effects of a memoised pure drop.
-
-        Only ever called with a member of :attr:`pure_drop_decisions`;
-        managers listing any must override this to bump exactly the
-        counters their ``admit()`` bumps on that decision's path.
-        """
-        self.drops += 1
 
     def on_dequeue(self, packet: Packet, queue_index: int) -> Decision:
         """Called when a packet is pulled for transmission.

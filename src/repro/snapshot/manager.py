@@ -2,7 +2,7 @@
 
 A snapshot is a single file::
 
-    {"magic": "repro-snapshot", "version": 1, "sha256": "...", ...}\\n
+    {"magic": "repro-snapshot", "version": 2, "sha256": "...", ...}\\n
     <pickle bytes>
 
 The first line is a JSON header carrying the format magic/version, the
@@ -34,7 +34,11 @@ from ..errors import SnapshotError, SnapshotIntegrityError
 PathLike = Union[str, Path]
 
 SNAPSHOT_MAGIC = "repro-snapshot"
-SNAPSHOT_VERSION = 1
+#: Version 2: the event engine keeps every pending event in its one
+#: binary heap.  A version-1 world may hold them in a bucketed side
+#: queue this build no longer reads, so it would resume with nothing to
+#: run and silently end.
+SNAPSHOT_VERSION = 2
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 

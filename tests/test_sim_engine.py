@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import pickle
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -261,3 +263,143 @@ def test_deterministic_event_sequence():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+# -- event accounting ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("pooling", [True, False])
+def test_event_accounting_is_exact_mid_run(pooling):
+    """``scheduled == executed + cancelled + pending()`` holds inside
+    callbacks too: the pooled loop defers ``events_executed`` and the
+    live count by the same amount."""
+    sim = Simulator(pooling=pooling)
+    audits = []
+
+    def tick(n):
+        audits.append(sim.audit_counters())
+        doomed = sim.schedule(1, tick, -1)
+        if n < 5:
+            sim.schedule(2, tick, n + 1)
+        sim.cancel(doomed)
+
+    sim.schedule(1, tick, 0)
+    sim.run()
+    assert audits == [[]] * 6
+    assert sim.events_scheduled == (sim.events_executed
+                                    + sim.events_cancelled + sim.pending())
+
+
+def test_audit_counters_reports_broken_event_accounting():
+    sim = Simulator()
+    events = [sim.schedule(i + 1, lambda: None) for i in range(3)]
+    sim.cancel(events[1])
+    sim.run(until=1)
+    assert sim.audit_counters() == []
+    sim.events_executed += 1            # an event counted but never run
+    problems = sim.audit_counters()
+    assert len(problems) == 1
+    assert problems[0].startswith("event accounting: scheduled 3 != "
+                                  "executed 2 + cancelled 1 + pending 1")
+
+
+# -- snapshot of a pooled simulator -------------------------------------------
+
+
+class _Log:
+    """Picklable callback target: logs tags; tag 0 chains a follow-up."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.tags = []
+
+    def fire(self, tag):
+        self.tags.append(tag)
+        if tag == 0:
+            self.sim.schedule(7, self.fire, -1)
+
+
+def test_snapshot_restore_preserves_stale_handle_semantics():
+    """A pickled-and-restored simulator honours versioned cancels taken
+    before the snapshot: a handle whose event already fired stays a
+    no-op after the restore."""
+    sim = Simulator(pooling=True)
+    log = _Log(sim)
+    handles = [(event, event.gen) for event in (
+        sim.schedule(10, log.fire, 0), sim.schedule(20, log.fire, 1))]
+    sim.run(until=15)                   # first fires, handle recycled
+    # One root, as repro.snapshot pickles a live world, so handle
+    # aliasing survives the round trip.
+    sim, log, handles = pickle.loads(pickle.dumps((sim, log, handles)))
+    event, gen = handles[0]
+    sim.cancel_versioned(event, gen)    # stale: must no-op
+    sim.run()
+    assert log.tags == [0, -1, 1]
+    sim.check_consistency()
+
+
+# -- integer horizon past 2**53 ns --------------------------------------------
+
+
+def test_extreme_horizon_is_exact():
+    """``run(until=...)`` past 2**53 ns must not round the horizon.
+
+    2**53 + 1 is the first integer a double cannot represent; a float
+    horizon sentinel would land the clock on 2**53 instead and run (or
+    skip) events scheduled exactly at the boundary.  Covers the pooled
+    loop and the general loop (forced via ``max_events``).
+    """
+    boundary = 2 ** 53 + 1
+    fired = []
+
+    sim = Simulator(pooling=True)
+    sim.run(until=boundary)
+    assert sim.now == boundary and isinstance(sim.now, int)
+    sim.at(boundary + 1, fired.append, "pooled")
+    sim.run(until=boundary)              # inclusive horizon: not yet
+    assert fired == []
+    sim.run(until=boundary + 1)
+    assert fired == ["pooled"] and sim.now == boundary + 1
+
+    general = Simulator(pooling=True)
+    general.at(boundary + 1, fired.append, "general")
+    general.run(until=boundary + 1, max_events=10)
+    assert fired == ["pooled", "general"]
+    assert general.now == boundary + 1 and isinstance(general.now, int)
+
+
+# -- pool release when a callback raises --------------------------------------
+
+
+def _raising_scenario(sim):
+    done = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    for i in range(4):
+        sim.schedule(10 + i, done.append, i)
+    sim.schedule(20, boom)
+    sim.schedule(30, done.append, 99)
+    return done
+
+
+def test_raising_callback_keeps_pool_stats_identical():
+    """A raising callback must leave identical pool/counter state in the
+    pooled fast loop and the general loop (the general loop used to leak
+    the consumed event instead of recycling it)."""
+    stats = []
+    for force_general in (False, True):
+        sim = Simulator(pooling=True)
+        done = _raising_scenario(sim)
+        kwargs = {"max_events": 100} if force_general else {}
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run(until=1_000, **kwargs)
+        sim.check_consistency()          # resumable post-mortem state
+        stats.append((sim.now, sim.pool_size(), sim.pending(),
+                      sim.events_executed, sim.events_reused,
+                      tuple(done)))
+        # The run is resumable: the remaining event still fires.
+        sim.run()
+        assert done[-1] == 99
+    assert stats[0] == stats[1]

@@ -94,11 +94,14 @@ def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "x.snap"
     manager.save({"a": 1}, path, kind="unit")
     header_line, _, rest = path.read_bytes().partition(b"\n")
-    header = json.loads(header_line)
-    header["version"] = 99
-    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-    with pytest.raises(SnapshotError):
-        manager.load(path)
+    # 1: written by the engine with a bucketed side queue, which this
+    # build cannot resume.
+    for version in (1, 99):
+        header = json.loads(header_line)
+        header["version"] = version
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        with pytest.raises(SnapshotError):
+            manager.load(path)
 
 
 def test_kind_mismatch_rejected(tmp_path):
@@ -215,61 +218,6 @@ def test_killed_and_restored_run_is_byte_identical(tmp_path, mode):
         assert world_r.saves > 2  # kept autosaving after the restore
 
     assert result_r.scheme == result_a.scheme
-    assert result_r.samples == result_a.samples
-    assert counters_r == counters_a
-    assert _sha256(trace_b) == _sha256(trace_a)
-
-
-@pytest.mark.parametrize("base", ["fast", "reference"])
-def test_kill_restore_with_calendar_and_batched_advance(tmp_path, base,
-                                                        monkeypatch):
-    """Kill/restore stays byte-identical with the calendar queue engaged
-    and batched link advance active mid-flight — the two perf paths that
-    restructure the event loop itself, under both perf bases (REFERENCE
-    gets just these two switches forced on)."""
-    from repro.perf.config import FAST, REFERENCE, use_config
-
-    monkeypatch.setenv("REPRO_CALENDAR_WARMUP", "8")
-    # Batching is only statically eligible on ports whose dequeue hook
-    # was elided as a provable no-op, which is inline_hot_calls' job —
-    # so the REFERENCE variant needs that switch too.
-    config = FAST if base == "fast" else REFERENCE.clone(
-        calendar_queue=True, batched_link_advance=True,
-        inline_hot_calls=True)
-    every_ns = milliseconds(7)
-
-    with use_config(config):
-        trace_a = tmp_path / "a.jsonl"
-        session = TelemetrySession(trace_out=trace_a)
-        with session:
-            world_a = _build_bulk(session.trace)
-            run_world(world_a, SnapshotPolicy(
-                every_ns=every_ns, out=tmp_path / "a.snap"))
-            result_a = world_a.finish(world_a)
-            counters_a = _op_counters(world_a)
-            # The premise: the calendar really did engage, and the
-            # bottleneck ran with batched link advance armed (only
-            # plain-DRR ports qualify, so `any`, not `all`).
-            assert world_a.net.sim._cal is not None
-            assert any(port._batch_ok for port in world_a.iter_ports())
-
-        trace_b = tmp_path / "b.jsonl"
-        snap_b = tmp_path / "b.snap"
-        session = TelemetrySession(trace_out=trace_b)
-        policy_b = SnapshotPolicy(every_ns=every_ns, out=snap_b,
-                                  halt_after_saves=1)
-        with session:
-            world_b = _build_bulk(session.trace)
-            with pytest.raises(SnapshotHalt):
-                run_world(world_b, policy_b)
-            assert world_b.net.sim._cal is not None  # engaged pre-kill
-
-        world_r = restore_world(snap_b, expect_kind="bulk")
-        run_world(world_r, policy_b)
-        result_r = world_r.finish(world_r)
-        counters_r = _op_counters(world_r)
-        world_r.close_recorders()
-
     assert result_r.samples == result_a.samples
     assert counters_r == counters_a
     assert _sha256(trace_b) == _sha256(trace_a)

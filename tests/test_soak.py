@@ -92,7 +92,7 @@ def test_scenario_json_roundtrip(tmp_path):
     {"duration_ms": 0},
     {"perf_base": "warp"},
     {"perf": {"flux_capacitor": True}},
-    {"perf": {"calendar_queue": "yes"}},
+    {"perf": {"heap_scan_inflight": "yes"}},
     {"torture": "rack"},
     {"torture": "kill-restore"},            # needs snapshot_every_ms
     {"snapshot_every_ms": 99.0},            # past the horizon
