@@ -48,6 +48,7 @@ Benches
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import sys
@@ -416,10 +417,16 @@ def run_suite(*, quick: bool = False, scale: float = 1.0,
         reference_runs: List[Dict[str, Any]] = []
         fast_runs: List[Dict[str, Any]] = []
         for _ in range(repeats):
-            with use_config(REFERENCE.clone()):
-                reference_runs.append(spec["run"]())
-            with use_config(FAST.clone()):
-                fast_runs.append(spec["run"]())
+            for config, runs in ((REFERENCE, reference_runs),
+                                 (FAST, fast_runs)):
+                # Freeze the caller's heap so no timed gen-2 pass walks it.
+                gc.collect()
+                gc.freeze()
+                try:
+                    with use_config(config.clone()):
+                        runs.append(spec["run"]())
+                finally:
+                    gc.unfreeze()
         reference = min(reference_runs, key=lambda run: run["seconds"])
         for run in reference_runs + fast_runs:
             if run["ops"] != reference["ops"]:

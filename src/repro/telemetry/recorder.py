@@ -23,7 +23,8 @@ from functools import partial
 from typing import Any, Iterable, List, Optional, Tuple
 
 from ..sim.trace import ALL_TOPICS, TOPIC_SNAPSHOT_LIFECYCLE, TraceBus
-from .records import normalize
+from .records import PACKET_TOPICS, encode_packet_event, normalize
+from .sinks import JsonlSink
 
 #: What a recorder subscribes to when no topics are named.  Everything
 #: except ``snapshot.lifecycle``: save events carry the snapshot path
@@ -66,6 +67,8 @@ class TraceRecorder:
         self.end_ns = end_ns
         self.records_written = 0
         self.records_skipped = 0
+        self._line_topics = (PACKET_TOPICS if isinstance(sink, JsonlSink)
+                             else frozenset())
         self._handlers: List[Tuple[str, Any]] = []
         for topic in selected:
             handler = partial(self._on_event, topic)
@@ -81,7 +84,10 @@ class TraceRecorder:
                 or (self.end_ns is not None and time_ns > self.end_ns)):
             self.records_skipped += 1
             return
-        self._sink.write(normalize(topic, payload))
+        if topic in self._line_topics:
+            self._sink.write_line(encode_packet_event(topic, payload))
+        else:
+            self._sink.write(normalize(topic, payload))
         self.records_written += 1
 
     # -- lifecycle ------------------------------------------------------------

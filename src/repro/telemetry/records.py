@@ -39,6 +39,10 @@ from ..sim.trace import (
     ALL_TOPICS,
     TOPIC_COMPETITIVE_ROUND,
     TOPIC_DYNAQ_RECONFIGURE,
+    TOPIC_PACKET_DEQUEUE,
+    TOPIC_PACKET_DROP,
+    TOPIC_PACKET_ENQUEUE,
+    TOPIC_PACKET_MARK,
     TOPIC_PARALLEL_JOB,
     TOPIC_QUEUE_SNAPSHOT,
     TOPIC_SERVE_JOB,
@@ -145,6 +149,64 @@ def normalize(topic: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     elif "flow" in payload:
         record["flow"] = payload["flow"]
     return record
+
+
+# -- line encoding ------------------------------------------------------------
+# ``json.dumps`` builds an encoder per call; the common shape skips it.
+
+#: Topics a port publishes per packet, all with one payload shape.
+PACKET_TOPICS = frozenset((TOPIC_PACKET_DEQUEUE, TOPIC_PACKET_DROP,
+                           TOPIC_PACKET_ENQUEUE, TOPIC_PACKET_MARK))
+_encode_str = json.encoder.encode_basestring_ascii
+_INT_ONLY = frozenset((int,))
+_INT_OR_NONE = frozenset((int, type(None)))
+_RECORD_KEYS = frozenset(RECORD_FIELDS)
+_SORTED_FIELDS = tuple(sorted(RECORD_FIELDS))
+_LINE = ('{"detail": %s, "flow": %s, "port": %s, "queue": %s, '
+         '"queue_bytes": %s, "threshold": %s, "time_ns": %s, '
+         '"topic": %s}\n')
+
+
+def _column_json(value: Any) -> Optional[str]:
+    """JSON text of an exactly typed column value, else ``None``."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int or kind is list and _INT_ONLY.issuperset(map(type, value)):
+        return str(value)
+    return "null" if value is None else None
+
+
+def encode_record(record: Dict[str, Any]) -> str:
+    """Exactly ``json.dumps(record, sort_keys=True) + "\\n"``: the fixed
+    columns with exact int/str/None/list-of-int values take a template."""
+    if record.keys() == _RECORD_KEYS:
+        columns = tuple(map(_column_json, map(record.__getitem__,
+                                              _SORTED_FIELDS)))
+        if None not in columns:
+            return _LINE % columns
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def encode_packet_event(topic: str, payload: Dict[str, Any]) -> str:
+    """Exactly ``encode_record(normalize(topic, payload))``, but a port's
+    exactly typed payload goes straight into the line, with no dict."""
+    get = payload.get
+    time, port, detail = get("time", 0), get("port", ""), get("detail", "")
+    queue, packet, sizes = get("queue"), get("packet"), get("queue_bytes")
+    flow = None if packet is None else getattr(packet, "flow_id", None)
+    if (topic in PACKET_TOPICS and "flow" not in payload
+            and type(time) is int and type(port) is str
+            and type(detail) is str and type(queue) in _INT_OR_NONE
+            and type(flow) in _INT_OR_NONE
+            and (sizes is None or (type(sizes) in (tuple, list) and
+                                   _INT_ONLY.issuperset(map(type, sizes))))):
+        return _LINE % (
+            _encode_str(detail), "null" if flow is None else flow,
+            _encode_str(port), "null" if queue is None else queue,
+            "null" if sizes is None else list(sizes), "null", time,
+            _encode_str(topic))
+    return encode_record(normalize(topic, payload))
 
 
 # -- schema checking ----------------------------------------------------------

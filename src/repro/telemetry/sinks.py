@@ -8,9 +8,10 @@ analysis (:class:`MemorySink`).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
+
+from .records import encode_record
 
 PathLike = Union[str, Path]
 
@@ -28,8 +29,12 @@ class JsonlSink:
         self.records_written = 0
 
     def write(self, record: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True))
-        self._handle.write("\n")
+        self._handle.write(encode_record(record))
+        self.records_written += 1
+
+    def write_line(self, line: str) -> None:
+        """Append one already-encoded record line (ends in a newline)."""
+        self._handle.write(line)
         self.records_written += 1
 
     def close(self) -> None:

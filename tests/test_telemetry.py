@@ -136,6 +136,29 @@ def test_recorder_time_window():
     assert recorder.records_skipped == 2
 
 
+def test_recorder_time_window_jsonl_sink_matches_memory_sink(tmp_path):
+    """The JSONL sink's line path applies the same window and counts."""
+    trace = TraceBus()
+    memory = MemorySink()
+    jsonl = JsonlSink(tmp_path / "window.jsonl")
+    recorders = [TraceRecorder(trace, sink, topics=[TOPIC_PACKET_DROP],
+                               start_ns=10, end_ns=20)
+                 for sink in (memory, jsonl)]
+    for time in (5, 10, 15, 20, 25):
+        trace.publish(TOPIC_PACKET_DROP, port="p", time=time,
+                      packet=make_packet(), queue=0, detail="full",
+                      queue_bytes=(0,))
+    for recorder in recorders:
+        recorder.close()
+    lines = (tmp_path / "window.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == memory.records
+    assert [record["time_ns"] for record in memory.records] == [10, 15, 20]
+    assert jsonl.records_written == 3
+    for recorder in recorders:
+        assert recorder.records_written == 3
+        assert recorder.records_skipped == 2
+
+
 def test_recorder_close_unsubscribes_and_is_idempotent():
     trace = TraceBus()
     sink = MemorySink()
